@@ -61,7 +61,10 @@ class FullInstructEvaluator:
         self.interpreter = interpreter or FallbackInterpreter()
         self.prefix_ids = list(prefix_ids)
         self.reuse_prefix = reuse_prefix and hasattr(model, "prefill")
-        self._prefix_store = PrefixCacheStore(max_entries=2)
+        # room for two whole-context prompts: the scaffold and one more
+        self._prefix_store = PrefixCacheStore(
+            capacity_tokens=2 * model.config.max_seq_len
+        )
         self.records: List[FullInstructRecord] = []
 
     def _scaffold_prefix(self, prompt_ids: List[int]):

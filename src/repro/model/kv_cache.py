@@ -10,14 +10,16 @@ first-class, reusable artifact:
 * :class:`PrefixCache` — a prefilled prompt prefix: the token ids, the
   per-layer K/V tensors, and the next-token logits at the prefix
   boundary;
-* :class:`PrefixCacheStore` — a small LRU keyed on token ids that finds
-  the longest reusable prefix for an incoming prompt.
+* :class:`PrefixCacheStore` — a radix tree over token ids holding every
+  stored prompt's K/V once, that finds the longest stored prefix of an
+  incoming prompt in one walk.
 
 Safety relies on one invariant of :class:`~repro.model.attention.
 MultiHeadAttention`: an incremental forward *rebinds* ``cache["k"]`` /
 ``cache["v"]`` to freshly concatenated arrays and never writes into the
 existing ones.  Forked caches may therefore share (even read-only,
-broadcast) views of the parent's tensors.
+broadcast) views of the parent's tensors.  The store's own segments are
+written once at insert and are read-only from then on.
 """
 
 from __future__ import annotations
@@ -146,66 +148,177 @@ class PrefixCache:
         return fork_cache(self.cache, batch_size=batch_size, length=length)
 
 
-class PrefixCacheStore:
-    """A tiny LRU of :class:`PrefixCache` entries keyed by token ids.
+def _segment(cache: KVCache, start: int, stop: Optional[int] = None) -> KVCache:
+    """An owned, read-only copy of positions ``start:stop`` of ``cache``."""
+    out: KVCache = []
+    for layer in cache:
+        seg = {}
+        for key in ("k", "v"):
+            arr = layer[key][:, :, start:stop].copy()
+            arr.flags.writeable = False
+            seg[key] = arr
+        out.append(seg)
+    return out
 
-    ``match`` returns the entry with the longest overlap against an
-    incoming prompt — the common case is one scaffold entry serving an
-    entire benchmark run.
+
+class _Node:
+    """One radix-tree edge: its token ids and their K/V, plus the boundary
+    logits if a stored prompt ends here."""
+
+    __slots__ = ("tokens", "kv", "logits", "children", "parent", "last_used")
+
+    def __init__(
+        self, tokens: Tuple[int, ...], kv: KVCache, parent: Optional["_Node"]
+    ) -> None:
+        self.tokens = tokens
+        self.kv = kv
+        self.logits: Optional[np.ndarray] = None
+        self.children: Dict[int, _Node] = {}
+        self.parent = parent
+        self.last_used = 0
+
+
+class PrefixCacheStore:
+    """A radix tree of prefilled prompts keyed by token ids.
+
+    Every stored prompt is a path from the root.  Each node holds its
+    edge's K/V as its own contiguous, read-only copy, written once at
+    insert, so evicting a leaf frees exactly that leaf's memory.
+    ``match`` is one walk from the root and returns the longest stored
+    prefix of an incoming prompt.  Capacity is counted in resident
+    tokens; over it, the least recently used *leaf* goes first, so a
+    prompt's unique tail is evicted before the scaffold it hangs from
+    (SGLang RadixAttention, Zheng et al. 2024).
     """
 
-    def __init__(self, max_entries: int = 4) -> None:
-        if max_entries < 1:
-            raise ValueError("max_entries must be >= 1")
-        self.max_entries = max_entries
-        self._entries: List[PrefixCache] = []
+    def __init__(self, capacity_tokens: int) -> None:
+        if capacity_tokens < 1:
+            raise ValueError("capacity_tokens must be >= 1")
+        self.capacity_tokens = capacity_tokens
+        self._root = _Node((), [], None)
+        self._leaves: Dict[_Node, None] = {}  # insertion-ordered set
+        self._tick = 0
+        self.tokens = 0
+        self.nodes = 0
         self.hits = 0
         self.misses = 0
         self.evictions = 0
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return self.nodes
 
-    def match(
-        self, token_ids: Sequence[int], min_overlap: int = 1
-    ) -> Optional[Tuple[PrefixCache, int]]:
-        """Best ``(entry, overlap)`` for ``token_ids``, or None."""
-        best: Optional[Tuple[PrefixCache, int]] = None
-        for entry in self._entries:
-            n = entry.overlap(token_ids)
-            if n >= min_overlap and (best is None or n > best[1]):
-                best = (entry, n)
-        if best is None:
+    def _walk(self, ids: Tuple[int, ...]) -> Tuple[List[Tuple[_Node, int]], int]:
+        """The nodes the longest stored prefix of ``ids`` passes through,
+        each with how many of its edge tokens matched, and that prefix's
+        length."""
+        path: List[Tuple[_Node, int]] = []
+        node, depth = self._root, 0
+        while depth < len(ids):
+            child = node.children.get(ids[depth])
+            if child is None:
+                break
+            n = common_prefix_len(child.tokens, ids[depth : depth + len(child.tokens)])
+            path.append((child, n))
+            depth += n
+            if n < len(child.tokens):
+                break
+            node = child
+        return path, depth
+
+    def _touch(self, node: _Node) -> None:
+        self._tick += 1
+        while node is not self._root:
+            node.last_used = self._tick
+            node = node.parent
+
+    def match(self, token_ids: Sequence[int]) -> Optional[Tuple[PrefixCache, int]]:
+        """``(prefix, overlap)`` for the longest stored prefix of
+        ``token_ids``, or None when not even the first token is stored.
+
+        ``prefix`` covers exactly the ``overlap`` matched tokens (its K/V
+        gathered from the path's nodes, read-only) and carries boundary
+        logits when a stored prompt ended exactly there.
+        """
+        ids = tuple(int(t) for t in token_ids)
+        path, depth = self._walk(ids)
+        if not depth:
             self.misses += 1
             return None
         self.hits += 1
-        # refresh LRU position
-        self._entries.remove(best[0])
-        self._entries.append(best[0])
-        return best
+        last, n = path[-1]
+        self._touch(last)
+        cache: KVCache = []
+        for i in range(len(last.kv)):
+            layer = {}
+            for key in ("k", "v"):
+                parts = [node.kv[i][key][:, :, :m] for node, m in path]
+                arr = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=2)
+                arr.flags.writeable = False
+                layer[key] = arr
+            cache.append(layer)
+        logits = last.logits if n == len(last.tokens) else None
+        return PrefixCache(ids[:depth], cache, logits), depth
 
     def put(self, prefix: PrefixCache) -> PrefixCache:
-        """Store ``prefix``, evicting the least recent entry if full.
+        """Insert ``prefix`` and return it.
 
-        An identical already-stored prefix (same token ids) is *deduped*:
-        the existing entry is refreshed to most-recent and returned, so a
-        re-put of a hot scaffold never evicts a distinct entry.
+        Only the K/V of tokens past the longest already-stored prefix are
+        copied in; re-putting a stored prompt adds nothing and refreshes
+        its recency.
         """
-        for entry in self._entries:
-            if entry.token_ids == prefix.token_ids:
-                self._entries.remove(entry)
-                self._entries.append(entry)
-                return entry
-        self._entries.append(prefix)
-        if len(self._entries) > self.max_entries:
-            self._entries.pop(0)
-            self.evictions += 1
+        ids = prefix.token_ids
+        if not ids:
+            return prefix
+        path, depth = self._walk(ids)
+        node = self._root
+        if path:
+            node, n = path[-1]
+            if n < len(node.tokens):
+                node = self._split(node, n)
+        if depth < len(ids):
+            child = _Node(ids[depth:], _segment(prefix.cache, depth), node)
+            node.children[ids[depth]] = child
+            self._leaves.pop(node, None)
+            self._leaves[child] = None
+            self.tokens += len(child.tokens)
+            self.nodes += 1
+            node = child
+        if node.logits is None and prefix.last_logits is not None:
+            node.logits = np.array(prefix.last_logits)
+            node.logits.flags.writeable = False
+        self._touch(node)
+        self._evict()
         return prefix
+
+    def _split(self, node: _Node, n: int) -> _Node:
+        """Cut ``node``'s edge after ``n`` tokens; returns the upper half."""
+        upper = _Node(node.tokens[:n], _segment(node.kv, 0, n), node.parent)
+        upper.last_used = node.last_used
+        upper.parent.children[upper.tokens[0]] = upper
+        node.tokens = node.tokens[n:]
+        node.kv = _segment(node.kv, n)
+        node.parent = upper
+        upper.children[node.tokens[0]] = node
+        self.nodes += 1
+        return upper
+
+    def _evict(self) -> None:
+        while self.tokens > self.capacity_tokens:
+            leaf = min(self._leaves, key=lambda node: node.last_used)
+            del self._leaves[leaf]
+            parent = leaf.parent
+            del parent.children[leaf.tokens[0]]
+            self.tokens -= len(leaf.tokens)
+            self.nodes -= 1
+            self.evictions += 1
+            if parent is not self._root and not parent.children:
+                self._leaves[parent] = None
 
     def stats(self) -> Dict[str, int]:
         """Counter snapshot (plain dict, e.g. for ``serve.metrics``)."""
         return {
-            "entries": len(self._entries),
+            "tokens": self.tokens,
+            "nodes": self.nodes,
             "hits": self.hits,
             "misses": self.misses,
             "evictions": self.evictions,

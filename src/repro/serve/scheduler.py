@@ -17,8 +17,9 @@ Invariants this scheduler maintains:
   FIFO and nothing is starved (every admitted request finishes within
   its decode budget, freeing tokens for the head);
 * **prefix reuse** — admission routes through a
-  :class:`~repro.model.kv_cache.PrefixCacheStore`: prompts sharing the
-  MCQ scaffold fork a cached prefix instead of re-prefilling it;
+  :class:`~repro.model.kv_cache.PrefixCacheStore`: every admitted prompt
+  is inserted after its forward, and a later prompt forks the longest
+  prefix it shares with any stored one instead of re-prefilling it;
 * **determinism** — no wall-clock reads (all time arrives as ``now``
   arguments), no unseeded randomness; per-request decode streams come
   from each request's own seeded generator, so outputs are independent
@@ -38,7 +39,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.model.kv_cache import PrefixCacheStore
+from repro.model.kv_cache import PrefixCache, PrefixCacheStore, fork_cache
 from repro.model.sampling import _select_token
 from repro.serve.admission import AdmissionQueue
 from repro.serve.metrics import ServeMetrics
@@ -68,22 +69,18 @@ class SchedulerConfig:
 
     ``token_budget`` bounds the sum of reserved sequence lengths across
     the in-flight batch (the KV-memory analogue); ``max_running`` bounds
-    batch width.  ``min_prefix_overlap`` is the shortest shared prefix
-    worth forking from the store.
+    batch width.  The default prefix store holds up to ``token_budget``
+    tokens.
     """
 
     token_budget: int = 2048
     max_running: int = 8
-    min_prefix_overlap: int = 1
-    store_entries: int = 4
 
     def __post_init__(self) -> None:
         if self.token_budget < 1:
             raise ValueError("token_budget must be >= 1")
         if self.max_running < 1:
             raise ValueError("max_running must be >= 1")
-        if self.min_prefix_overlap < 1:
-            raise ValueError("min_prefix_overlap must be >= 1")
 
 
 @dataclass
@@ -128,7 +125,7 @@ class ContinuousBatchingScheduler:
         self.queue = queue
         self.config = config or SchedulerConfig()
         self.prefix_store = prefix_store or PrefixCacheStore(
-            max_entries=self.config.store_entries
+            capacity_tokens=self.config.token_budget
         )
         self.metrics = metrics or ServeMetrics()
         self.running: List[RequestState] = []
@@ -154,52 +151,55 @@ class ContinuousBatchingScheduler:
 
         Returns the number of prompt tokens actually forwarded.  The
         forward sequence mirrors :func:`repro.model.sampling.generate`
-        exactly — fork the longest cached prefix, forward the remainder
-        (always at least the final prompt token for GENERATE, so step
-        logits come from a real forward) — which is what makes engine
-        outputs bit-equal to sequential generation.
+        given the store's match as ``prefix`` — fork the longest cached
+        prefix, forward the remainder (always at least the final prompt
+        token for GENERATE, so step logits come from a real forward) —
+        which is what makes engine outputs bit-equal to sequential
+        generation.  The prompt is then inserted into the store: its
+        forward already computed the K/V, so this costs no model work.
         """
         prompt = list(state.prompt)
-        hit = self.prefix_store.match(
-            prompt, min_overlap=self.config.min_prefix_overlap
-        )
         kind = state.request.kind
-        forwarded = 0
-        if hit is None:
+        hit = self.prefix_store.match(prompt)
+        prefix, overlap = hit if hit is not None else (None, 0)
+        state.prefix_hit_tokens = overlap
+        if kind is RequestKind.SCORE and prefix is None:
+            # cold prompt: one prefill computes the K/V and the boundary
+            # logits without projecting interior positions
             prefix = self.prefix_store.put(self.model.prefill(prompt))
-            forwarded += len(prompt)
-            overlap = len(prompt)
-        else:
-            prefix, overlap = hit
-            state.prefix_hit_tokens = overlap
-
-        if kind is RequestKind.SCORE:
-            if overlap == len(prompt) and prefix.length == len(prompt):
-                # exact hit (or our own fresh prefill): boundary logits
-                # are already computed
-                state.final_logits = prefix.last_logits
-            else:
-                reused = min(overlap, len(prompt) - 1)
-                cache = prefix.fork(batch_size=1, length=reused)
-                logits = self.model.forward(
-                    np.asarray(prompt[reused:], dtype=np.int64),
-                    start_pos=reused,
-                    cache=cache,
-                )
-                state.final_logits = logits[0, -1]
-                forwarded += len(prompt) - reused
+            state.final_logits = prefix.last_logits
+            forwarded = len(prompt)
+        elif (
+            kind is RequestKind.SCORE
+            and overlap == len(prompt)
+            and prefix.last_logits is not None
+        ):
+            # the whole prompt is stored with its boundary logits
+            state.final_logits = prefix.last_logits
+            forwarded = 0
         else:
             reused = min(overlap, len(prompt) - 1)
-            state.cache = prefix.fork(batch_size=1, length=reused)
+            if reused:
+                cache = prefix.fork(batch_size=1, length=reused)
+            else:
+                cache = self.model.new_cache()
             logits = self.model.forward(
                 np.asarray(prompt[reused:], dtype=np.int64),
                 start_pos=reused,
-                cache=state.cache,
+                cache=cache,
             )
-            state.step_logits = logits[0, -1]
-            forwarded += len(prompt) - reused
-            state.pos = len(prompt)
-            state.rng = np.random.default_rng(state.request.generation.seed)
+            # a copy, so a retained state does not pin the (1, T, V) logits
+            last = logits[0, -1].copy()
+            forwarded = len(prompt) - reused
+            # a fork, so decoding can rebind ``cache`` after the insert
+            self.prefix_store.put(PrefixCache(tuple(prompt), fork_cache(cache), last))
+            if kind is RequestKind.SCORE:
+                state.final_logits = last
+            else:
+                state.cache = cache
+                state.step_logits = last
+                state.pos = len(prompt)
+                state.rng = np.random.default_rng(state.request.generation.seed)
 
         state.status = RequestStatus.RUNNING
         state.admitted_at = now

@@ -6,7 +6,6 @@ import pytest
 from repro.model import (
     GenerationConfig,
     ModelConfig,
-    PrefixCache,
     PrefixCacheStore,
     TransformerLM,
     cache_length,
@@ -220,28 +219,25 @@ class TestDebugCacheGuard:
 class TestPrefixCacheStore:
     def test_match_prefers_longest_overlap(self):
         model = small_model()
-        store = PrefixCacheStore(max_entries=4)
+        store = PrefixCacheStore(capacity_tokens=16)
         short = store.put(model.prefill([1, 2]))
         long = store.put(model.prefill([1, 2, 3, 4]))
-        entry, overlap = store.match([1, 2, 3, 4, 9])
-        assert entry is long and overlap == 4
-        entry, overlap = store.match([1, 2, 9])
-        assert entry is short or overlap == 2
+        prefix, overlap = store.match([1, 2, 3, 4, 9])
+        assert overlap == 4 and prefix.token_ids == (1, 2, 3, 4)
+        np.testing.assert_array_equal(prefix.cache[0]["k"], long.cache[0]["k"])
+        # a stored prompt ending exactly at the match supplies its logits
+        prefix, overlap = store.match([1, 2, 9])
+        assert overlap == 2
+        np.testing.assert_array_equal(prefix.last_logits, short.last_logits)
 
     def test_miss_and_eviction(self):
         model = small_model()
-        store = PrefixCacheStore(max_entries=2)
+        store = PrefixCacheStore(capacity_tokens=2)
         store.put(model.prefill([1]))
         store.put(model.prefill([2]))
         store.put(model.prefill([3]))
-        assert len(store) == 2
+        assert len(store) == 2 and store.tokens == 2
         assert store.match([1, 5]) is None  # evicted
         assert store.misses == 1
         assert store.match([3, 5]) is not None
         assert store.hits == 1
-
-    def test_min_overlap_threshold(self):
-        store = PrefixCacheStore()
-        store.put(PrefixCache((1, 2, 3), [], None))
-        assert store.match([1, 9], min_overlap=2) is None
-        assert store.match([1, 2, 9], min_overlap=2) is not None

@@ -9,7 +9,7 @@ contract: outputs bit-equal to sequential
 import numpy as np
 import pytest
 
-from repro.model import ModelConfig, TransformerLM
+from repro.model import ModelConfig, TransformerLM, common_prefix_len
 from repro.model.sampling import GenerationConfig, generate
 from repro.serve import (
     AdmissionQueue,
@@ -48,6 +48,36 @@ def req(rid, prompt, kind=RequestKind.GENERATE, **kw):
     return InferenceRequest(
         request_id=rid, prompt_ids=tuple(prompt), kind=kind, **kw
     )
+
+
+def longest_earlier_prefix(prompts):
+    """Per prompt, the longest prefix it shares with any earlier prompt:
+    what a prefix store that keeps every admitted prompt can serve."""
+    return [
+        max((common_prefix_len(p, q) for q in prompts[:i]), default=0)
+        for i, p in enumerate(prompts)
+    ]
+
+
+def rotating_scaffold_requests(n=30):
+    """The ``serve_prefix`` shape: a shared boundary token, one of three
+    rotating scaffolds, then a tail whose first token no earlier tail
+    used.  Every fifth request is a sampled GENERATE, the rest SCORE."""
+    rng = np.random.default_rng(5)
+    scaffolds = [
+        (2 + k,) + tuple(int(t) for t in rng.integers(2, 30, size=length))
+        for k, length in enumerate((19, 21, 23))
+    ]
+    requests = []
+    for i in range(n):
+        tail = (30 + i,) + tuple(int(t) for t in rng.integers(2, 64, size=3))
+        prompt = (1,) + scaffolds[i % 3] + tail
+        if i % 5 == 4:
+            gen = GenerationConfig(max_new_tokens=3, temperature=0.9, seed=i)
+            requests.append(req(f"r{i}", prompt, generation=gen))
+        else:
+            requests.append(req(f"r{i}", prompt, kind=RequestKind.SCORE))
+    return requests
 
 
 def queued_state(rid="r", prompt=(1, 2, 3), seq=0, **kw):
@@ -398,10 +428,15 @@ class TestContinuousBatching:
             )
         engine.drain()
         snap = engine.metrics_snapshot()
-        store = snap["prefix_cache"]
-        assert store["misses"] >= 1
-        assert store["hits"] >= 3
-        assert snap["prefix_hit_tokens"] >= 3 * 12
+        # the scaffold once plus four one-token tails, in five nodes
+        assert snap["prefix_cache"] == {
+            "tokens": 12 + 4,
+            "nodes": 5,
+            "hits": 3,
+            "misses": 1,
+            "evictions": 0,
+        }
+        assert snap["prefix_hit_tokens"] == 3 * 12
 
     def test_step_cost_model_drives_virtual_clock(self, model):
         cost = StepCostModel(base=2.0, per_prefill_token=0.0, per_decode_row=0.0)
@@ -425,3 +460,87 @@ class TestContinuousBatching:
         engine.drain()
         admits = [e[2] for e in engine.events if e[0] == "admit"]
         assert admits == ["urgent", "bg"]
+
+
+class TestPrefixReuse:
+    """Every admitted prompt is stored, so each request's prefix hit is the
+    longest prefix it shares with any earlier prompt."""
+
+    def test_alternating_system_prompts_reach_ideal_prefill(self, model):
+        # two 41-token system prompts that share only the boundary token,
+        # alternating, each followed by a distinct one-token question
+        rng = np.random.default_rng(3)
+        systems = [
+            (1, 2 + k) + tuple(int(t) for t in rng.integers(2, 50, size=39))
+            for k in range(2)
+        ]
+        prompts = [systems[i % 2] + (50 + i,) for i in range(12)]
+        engine = ServeEngine(model)
+        for i, prompt in enumerate(prompts):
+            engine.submit(req(f"s{i}", prompt, kind=RequestKind.SCORE))
+        states = engine.drain()
+        ideal = longest_earlier_prefix(prompts)
+        assert [s.prefix_hit_tokens for s in states] == ideal
+        forwarded = engine.metrics_snapshot()["prefill_tokens"]
+        assert forwarded == sum(len(p) for p in prompts) - sum(ideal)
+        # each system prompt is forwarded once, then one token per question
+        assert forwarded == 42 + 41 + 10
+
+    def test_rotating_scaffolds_all_stay_cached(self, model):
+        # a store of 100 tokens holds the three scaffolds and a few tails,
+        # so it must evict tails and keep the scaffolds they hang from
+        requests = rotating_scaffold_requests()
+        engine = ServeEngine(
+            model,
+            config=ServeConfig(scheduler=SchedulerConfig(token_budget=100)),
+        )
+        for request in requests:
+            engine.submit(request)
+        states = engine.drain()
+        prompts = [r.prompt_ids for r in requests]
+        ideal = longest_earlier_prefix(prompts)
+        assert [s.prefix_hit_tokens for s in states] == ideal
+        store = engine.scheduler.prefix_store
+        assert store.evictions > 0
+        assert store.tokens <= 100
+        assert all(s.status is RequestStatus.FINISHED for s in states)
+
+    def test_partial_hit_score_owns_its_logits(self, model):
+        """A SCORE keeps a copy of its boundary row, not a view pinning the
+        whole ``(1, T, V)`` forward output."""
+        engine = ServeEngine(model)
+        engine.submit(req("a", (1, 2, 3, 4, 5), kind=RequestKind.SCORE))
+        engine.submit(req("b", (1, 2, 3, 9, 8), kind=RequestKind.SCORE))
+        engine.drain()
+        state = engine.state_of("b")
+        assert state.prefix_hit_tokens == 3
+        assert state.final_logits.flags.owndata
+        assert state.final_logits.shape == (model.config.vocab_size,)
+        np.testing.assert_allclose(
+            state.final_logits,
+            model.prefill([1, 2, 3, 9, 8]).last_logits,
+            rtol=1e-5,
+            atol=1e-6,
+        )
+
+    def test_repeated_prompt_scores_without_forward(self, model):
+        engine = ServeEngine(model)
+        for rid in ("a", "b"):
+            engine.submit(req(rid, (4, 8, 15, 16), kind=RequestKind.SCORE))
+        first, second = engine.drain()
+        assert second.prefix_hit_tokens == 4
+        assert engine.metrics_snapshot()["prefill_tokens"] == 4
+        np.testing.assert_array_equal(second.final_logits, first.final_logits)
+
+    def test_generate_prompt_is_stored_for_later_requests(self, model):
+        config = GenerationConfig(max_new_tokens=4, temperature=0.0)
+        prompt = (3, 5, 7, 9, 11)
+        engine = ServeEngine(model)
+        engine.submit(req("g", prompt, generation=config))
+        engine.drain()
+        engine.submit(req("s", prompt + (13,), kind=RequestKind.SCORE))
+        (score,) = [s for s in engine.drain() if s.request_id == "s"]
+        assert score.prefix_hit_tokens == len(prompt)
+        assert list(engine.state_of("g").output_ids) == generate(
+            model, list(prompt), config
+        )

@@ -98,9 +98,7 @@ class TestTokenPredEquivalence:
         ).run(evaluator, "next-token", "micro")
         tight = ServeConfig(
             queue_capacity=2,
-            scheduler=SchedulerConfig(
-                token_budget=8192, max_running=2, store_entries=2
-            ),
+            scheduler=SchedulerConfig(token_budget=8192, max_running=2),
         )
         runner = ServingEvaluationRunner(
             bench, max_questions=N_QUESTIONS, config=tight
