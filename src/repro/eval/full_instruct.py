@@ -49,7 +49,6 @@ class FullInstructEvaluator:
         interpreter: Optional[FallbackInterpreter] = None,
         eos_id: Optional[int] = None,
         prefix_ids: Sequence[int] = (),
-        reuse_prefix: bool = True,
     ) -> None:
         self.model = model
         self.tokenizer = tokenizer
@@ -60,7 +59,6 @@ class FullInstructEvaluator:
         )
         self.interpreter = interpreter or FallbackInterpreter()
         self.prefix_ids = list(prefix_ids)
-        self.reuse_prefix = reuse_prefix and hasattr(model, "prefill")
         # room for two whole-context prompts: the scaffold and one more
         self._prefix_store = PrefixCacheStore(
             capacity_tokens=2 * model.config.max_seq_len
@@ -74,8 +72,6 @@ class FullInstructEvaluator:
         fork the stored cache at their (token-level) common prefix — the
         scaffold — so it is never re-prefilled.
         """
-        if not self.reuse_prefix:
-            return None
         if len(prompt_ids) > self.model.config.max_seq_len:
             return None  # generate() will left-truncate; nothing reusable
         hit = self._prefix_store.match(prompt_ids)

@@ -4,8 +4,8 @@ This package is the reproduction's stand-in for the LLaMA family: a
 from-scratch, fully differentiable (manual backprop) implementation of the
 LLaMA architecture — RoPE causal attention, RMSNorm, SwiGLU — plus the
 training-adjacent machinery the paper relies on (LoRA adapters for the
-original AstroLLaMA recipe, checkpointing, bf16 emulation, KV-cache
-generation for the full-instruct evaluation method).
+original AstroLLaMA recipe, bf16 emulation, KV-cache generation for the
+full-instruct evaluation method).
 
 All hot paths are vectorized over ``(batch, head, position)`` per the HPC
 guide idioms; there are no per-token Python loops in forward or backward.
@@ -27,7 +27,6 @@ from repro.model.kv_cache import (
 from repro.model.mlp import GeluMLP, SwiGLU
 from repro.model.transformer import TransformerBlock, TransformerLM
 from repro.model.sampling import GenerationConfig, generate, greedy_decode
-from repro.model.checkpoint import load_model, save_model
 from repro.model.lora import LoRAConfig, LoRALinear, apply_lora, merge_lora
 from repro.model.precision import bf16_round
 
@@ -55,8 +54,6 @@ __all__ = [
     "GenerationConfig",
     "generate",
     "greedy_decode",
-    "save_model",
-    "load_model",
     "LoRAConfig",
     "LoRALinear",
     "apply_lora",

@@ -8,7 +8,7 @@ response length.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -77,6 +77,21 @@ def _select_token(
     return int(rng.choice(probs.size, p=probs))
 
 
+def clamp_prompt(
+    prompt_ids: Sequence[int], max_new_tokens: int, max_ctx: int
+) -> Tuple[Tuple[int, ...], int]:
+    """``(prompt, decode_budget)`` fitted to a ``max_ctx`` context window.
+
+    The budget is capped at ``max_ctx - 1`` and the prompt is truncated
+    *from the left* so that prompt + budget fits (keeping the most recent
+    context, as serving stacks do).
+    """
+    budget = min(max_new_tokens, max(0, max_ctx - 1))
+    keep = max_ctx - budget
+    prompt = tuple(prompt_ids)
+    return (prompt[-keep:] if len(prompt) > keep else prompt), budget
+
+
 def generate(
     model: TransformerLM,
     prompt_ids: Sequence[int],
@@ -86,9 +101,7 @@ def generate(
 ) -> List[int]:
     """Generate a continuation of ``prompt_ids``; returns only new tokens.
 
-    The prompt is truncated *from the left* if prompt + generation would
-    exceed the model's context window (keeping the most recent context, as
-    serving stacks do).
+    The prompt is clamped to the context window by :func:`clamp_prompt`.
 
     ``prefix`` is an optional prefilled cache (see
     :meth:`TransformerLM.prefill`): the longest leading run of the prompt
@@ -98,33 +111,15 @@ def generate(
     config = config or GenerationConfig()
     rng = np.random.default_rng(config.seed)
     max_ctx = model.config.max_seq_len
-    budget = min(config.max_new_tokens, max(0, max_ctx - 1))
-    prompt = list(prompt_ids)
-    keep = max_ctx - budget
-    if budget > 0 and len(prompt) > keep:
-        prompt = prompt[-keep:]
-    elif budget == 0 and len(prompt) > max_ctx:
-        prompt = prompt[-max_ctx:]
+    prompt, budget = clamp_prompt(prompt_ids, config.max_new_tokens, max_ctx)
     if not prompt:
         raise ValueError("prompt must contain at least one token")
 
-    # At least the final prompt token is always forwarded so the step
-    # logits come from a real forward against the (possibly forked) cache.
-    reused = min(prefix.overlap(prompt), len(prompt) - 1) if prefix else 0
-    if reused > 0:
-        cache = prefix.fork(batch_size=1, length=reused)
-        logits = model.forward(
-            np.asarray(prompt[reused:], dtype=np.int64),
-            start_pos=reused,
-            cache=cache,
-        )
-    else:
-        cache = model.new_cache()
-        logits = model.forward(np.asarray(prompt, dtype=np.int64), cache=cache)
+    state = model.prefill(prompt, prefix)
+    cache, step_logits = state.cache, state.last_logits
     out: List[int] = []
     stop = set(config.stop_token_ids)
     pos = len(prompt)
-    step_logits = logits[0, -1]
     for _ in range(budget):
         if logit_hook is not None:
             logit_hook(step_logits)

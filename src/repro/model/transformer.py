@@ -91,11 +91,15 @@ class TransformerLM(Module):
         loss, dlogits = model.cross_entropy(logits, targets, mask)
         model.backward(dlogits)      # accumulates into model grads
 
-    Usage for incremental decoding::
+    Usage for inference::
 
-        cache = model.new_cache()
-        logits = model.forward(prompt, cache=cache)          # prefill
-        logits = model.forward(next_tok, start_pos=t, cache=cache)  # step
+        state = model.prefill(prompt, prefix)   # K/V + logits after prompt
+        logits = model.forward([[tok]], start_pos=state.length,
+                               cache=state.cache)[0, -1]  # one decode step
+        rows = model.next_token_logits_many(suffixes, prefix=state)
+
+    :meth:`prefill` is the only prompt forward; :meth:`forward` serves
+    training, loss and single-token decode steps.
     """
 
     def __init__(self, config: ModelConfig, seed: int = 0) -> None:
@@ -139,31 +143,11 @@ class TransformerLM(Module):
         tokens = np.asarray(tokens)
         if tokens.ndim == 1:
             tokens = tokens[None, :]
-        x = self.embed.forward(tokens)
-        for i, block in enumerate(self.blocks):
-            layer_cache = cache[i] if cache is not None else None
-            x = block.forward(x, start_pos, layer_cache)
-        x = self.final_norm.forward(x)
-        if self.lm_head is not None:
-            logits = self.lm_head.forward(x)
-        else:
-            logits = x @ self.embed.params["weight"].T
-            self._tied_cache = x
-        return logits
+        return self._project_logits(self._hidden_states(tokens, start_pos, cache))
 
     def backward(self, dlogits: np.ndarray) -> None:
         """Backpropagate from logits gradient; accumulates parameter grads."""
-        if self.lm_head is not None:
-            dx = self.lm_head.backward(dlogits)
-        else:
-            W = self.embed.params["weight"]
-            x = self._tied_cache
-            self.embed.grads["weight"] += (
-                dlogits.reshape(-1, dlogits.shape[-1]).T
-                @ x.reshape(-1, x.shape[-1])
-            )
-            dx = dlogits @ W
-        dx = self.final_norm.backward(dx)
+        dx = self._head_backward(dlogits)
         for block in reversed(self.blocks):
             dx = block.backward(dx)
         self.embed.backward(dx)
@@ -226,14 +210,10 @@ class TransformerLM(Module):
 
     def next_token_logits(self, tokens: np.ndarray) -> np.ndarray:
         """Logits for the token following a single prompt (shape ``(vocab,)``)."""
-        tokens = np.asarray(tokens)
-        if tokens.ndim == 1:
-            tokens = tokens[None, :]
-        logits = self.forward(tokens)
-        return logits[0, -1]
+        return self.prefill(np.ravel(tokens)).last_logits
 
     # ------------------------------------------------------------------
-    # shared-prefix / batched evaluation path
+    # block loop, vocab head, prompt forward and batched scoring
     # ------------------------------------------------------------------
     def _hidden_states(
         self,
@@ -254,29 +234,51 @@ class TransformerLM(Module):
         return x
 
     def _project_logits(self, h: np.ndarray) -> np.ndarray:
-        """Final norm + vocab projection for already-gathered positions."""
+        """The vocab head, tied or untied: final norm + vocab projection."""
         h = self.final_norm.forward(h)
         if self.lm_head is not None:
             return self.lm_head.forward(h)
+        self._cache = h
         return h @ self.embed.params["weight"].T
 
-    def prefill(self, token_ids: Sequence[int]) -> PrefixCache:
-        """Forward a prompt prefix once; the result is reusable forever.
+    def _head_backward(self, dlogits: np.ndarray) -> np.ndarray:
+        """Backward of :meth:`_project_logits`; returns the gradient with
+        respect to the residual stream it was given."""
+        if self.lm_head is not None:
+            dh = self.lm_head.backward(dlogits)
+        else:
+            h = self._cache
+            self.embed.grads["weight"] += (
+                dlogits.reshape(-1, dlogits.shape[-1]).T @ h.reshape(-1, h.shape[-1])
+            )
+            dh = dlogits @ self.embed.params["weight"]
+        return self.final_norm.backward(dh)
 
-        The returned :class:`PrefixCache` carries the per-layer K/V
-        tensors plus the next-token logits at the prefix boundary, and
-        can be forked (trimmed and/or broadcast over a batch) for any
-        continuation that shares the prefix.  Only the final position is
-        projected to the vocabulary (the interior logits are never
-        needed), so prefilling is cheaper than :meth:`forward`.
+    def prefill(
+        self, token_ids: Sequence[int], prefix: Optional[PrefixCache] = None
+    ) -> PrefixCache:
+        """Forward a prompt once; the result is reusable forever.
+
+        The longest leading run of the prompt that ``prefix`` covers is
+        forked instead of re-forwarded, but at least the final prompt
+        token is always forwarded so the boundary logits come from a real
+        forward.  The returned :class:`PrefixCache` carries the per-layer
+        K/V tensors (its own, safe to extend by decoding) plus the owned
+        next-token logits at the prompt boundary, and can be forked
+        (trimmed and/or broadcast over a batch) for any continuation that
+        shares the prompt.  Only the final position is projected to the
+        vocabulary.
         """
         ids = tuple(int(t) for t in token_ids)
         if not ids:
             return PrefixCache((), self.new_cache(), None)
-        cache = self.new_cache()
-        x = self._hidden_states(np.asarray([ids], dtype=np.int64), cache=cache)
+        reused = min(prefix.overlap(ids), len(ids) - 1) if prefix is not None else 0
+        cache = prefix.fork(length=reused) if reused else self.new_cache()
+        x = self._hidden_states(
+            np.asarray([ids[reused:]], dtype=np.int64), start_pos=reused, cache=cache
+        )
         logits = self._project_logits(x[:, -1])
-        return PrefixCache(ids, cache, logits[0])
+        return PrefixCache(ids, cache, logits[0].copy())
 
     def next_token_logits_many(
         self,

@@ -194,16 +194,13 @@ class PipelinedModel:
 
     def stage_parameter_counts(self) -> List[int]:
         """Parameters per stage (embedding on stage 0, head on last)."""
-        counts = []
-        for s, (lo, hi) in enumerate(self.stage_spans):
-            n = sum(self.model.blocks[b].num_parameters() for b in range(lo, hi))
-            if s == 0:
-                n += self.model.embed.num_parameters()
-            if s == self.n_stages - 1:
-                n += self.model.final_norm.num_parameters()
-                if self.model.lm_head is not None:
-                    n += self.model.lm_head.num_parameters()
-            counts.append(n)
+        counts = [
+            sum(self.model.blocks[b].num_parameters() for b in range(lo, hi))
+            for lo, hi in self.stage_spans
+        ]
+        counts[0] += self.model.embed.num_parameters()
+        # the final norm and any untied head: all the rest
+        counts[-1] += self.model.num_parameters() - sum(counts)
         return counts
 
     def _forward_stage(self, s: int, x: np.ndarray) -> np.ndarray:
@@ -213,28 +210,14 @@ class PipelinedModel:
         for b in range(lo, hi):
             x = self.model.blocks[b].forward(x)
         if s == self.n_stages - 1:
-            x = self.model.final_norm.forward(x)
-            if self.model.lm_head is not None:
-                x = self.model.lm_head.forward(x)
-            else:
-                self.model._tied_cache = x
-                x = x @ self.model.embed.params["weight"].T
+            x = self.model._project_logits(x)
         return x
 
     def _backward_stage(self, s: int, dout: np.ndarray) -> Optional[np.ndarray]:
         lo, hi = self.stage_spans[s]
         dx = dout
         if s == self.n_stages - 1:
-            if self.model.lm_head is not None:
-                dx = self.model.lm_head.backward(dx)
-            else:
-                W = self.model.embed.params["weight"]
-                cached = self.model._tied_cache
-                self.model.embed.grads["weight"] += (
-                    dx.reshape(-1, dx.shape[-1]).T @ cached.reshape(-1, cached.shape[-1])
-                )
-                dx = dx @ W
-            dx = self.model.final_norm.backward(dx)
+            dx = self.model._head_backward(dx)
         for b in reversed(range(lo, hi)):
             dx = self.model.blocks[b].backward(dx)
         if s == 0:

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.model.kv_cache import PrefixCacheStore
+from repro.model.sampling import clamp_prompt
 from repro.serve.admission import AdmissionQueue, OversizedRequestError, QueueFullError
 from repro.serve.clock import Clock, VirtualClock
 from repro.serve.metrics import ServeMetrics
@@ -129,23 +130,6 @@ class ServeEngine:
         return self.states[request_id]
 
     # ------------------------------------------------------------------
-    def _clamp_prompt(self, request: InferenceRequest) -> tuple:
-        """Left-truncate the prompt to the context window, exactly as
-        :func:`repro.model.sampling.generate` does, and return
-        ``(prompt, decode_budget)``."""
-        max_ctx = self.model.config.max_seq_len
-        if request.kind is RequestKind.SCORE:
-            budget = 0
-        else:
-            budget = min(request.generation.max_new_tokens, max(0, max_ctx - 1))
-        prompt = list(request.prompt_ids)
-        keep = max_ctx - budget
-        if budget > 0 and len(prompt) > keep:
-            prompt = prompt[-keep:]
-        elif budget == 0 and len(prompt) > max_ctx:
-            prompt = prompt[-max_ctx:]
-        return tuple(prompt), budget
-
     def submit(self, request: InferenceRequest) -> RequestState:
         """Admission-control a new request into the wait queue.
 
@@ -156,7 +140,11 @@ class ServeEngine:
         """
         if request.request_id in self.states:
             raise ValueError(f"duplicate request_id {request.request_id!r}")
-        prompt, budget = self._clamp_prompt(request)
+        scoring = request.kind is RequestKind.SCORE
+        max_new = 0 if scoring else request.generation.max_new_tokens
+        prompt, budget = clamp_prompt(
+            request.prompt_ids, max_new, self.model.config.max_seq_len
+        )
         state = RequestState(
             request=request,
             submitted_at=self.clock.now(),

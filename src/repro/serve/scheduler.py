@@ -39,7 +39,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.model.kv_cache import PrefixCache, PrefixCacheStore, fork_cache
+from repro.model.kv_cache import PrefixCacheStore
 from repro.model.sampling import _select_token
 from repro.serve.admission import AdmissionQueue
 from repro.serve.metrics import ServeMetrics
@@ -149,55 +149,32 @@ class ContinuousBatchingScheduler:
     def _start(self, state: RequestState, step: int, now: float) -> int:
         """Prefill (via the prefix store) and move ``state`` to running.
 
-        Returns the number of prompt tokens actually forwarded.  The
-        forward sequence mirrors :func:`repro.model.sampling.generate`
-        given the store's match as ``prefix`` — fork the longest cached
-        prefix, forward the remainder (always at least the final prompt
-        token for GENERATE, so step logits come from a real forward) —
-        which is what makes engine outputs bit-equal to sequential
-        generation.  The prompt is then inserted into the store: its
-        forward already computed the K/V, so this costs no model work.
+        Returns the number of prompt tokens actually forwarded.  A SCORE
+        whose whole prompt is stored with its boundary logits forwards
+        nothing.  Every other prompt goes through
+        :meth:`~repro.model.transformer.TransformerLM.prefill` with the
+        store's match as ``prefix`` — exactly what
+        :func:`repro.model.sampling.generate` does, which is what makes
+        engine outputs bit-equal to sequential generation — and is then
+        inserted into the store (``put`` copies what it keeps, so decoding
+        may extend the prefilled cache).
         """
-        prompt = list(state.prompt)
-        kind = state.request.kind
+        prompt = state.prompt
         hit = self.prefix_store.match(prompt)
         prefix, overlap = hit if hit is not None else (None, 0)
         state.prefix_hit_tokens = overlap
-        if kind is RequestKind.SCORE and prefix is None:
-            # cold prompt: one prefill computes the K/V and the boundary
-            # logits without projecting interior positions
-            prefix = self.prefix_store.put(self.model.prefill(prompt))
-            state.final_logits = prefix.last_logits
-            forwarded = len(prompt)
-        elif (
-            kind is RequestKind.SCORE
-            and overlap == len(prompt)
-            and prefix.last_logits is not None
-        ):
-            # the whole prompt is stored with its boundary logits
+        is_score = state.request.kind is RequestKind.SCORE
+        if is_score and overlap == len(prompt) and prefix.last_logits is not None:
             state.final_logits = prefix.last_logits
             forwarded = 0
         else:
-            reused = min(overlap, len(prompt) - 1)
-            if reused:
-                cache = prefix.fork(batch_size=1, length=reused)
+            done = self.prefix_store.put(self.model.prefill(prompt, prefix))
+            forwarded = len(prompt) - min(overlap, len(prompt) - 1)
+            if is_score:
+                state.final_logits = done.last_logits
             else:
-                cache = self.model.new_cache()
-            logits = self.model.forward(
-                np.asarray(prompt[reused:], dtype=np.int64),
-                start_pos=reused,
-                cache=cache,
-            )
-            # a copy, so a retained state does not pin the (1, T, V) logits
-            last = logits[0, -1].copy()
-            forwarded = len(prompt) - reused
-            # a fork, so decoding can rebind ``cache`` after the insert
-            self.prefix_store.put(PrefixCache(tuple(prompt), fork_cache(cache), last))
-            if kind is RequestKind.SCORE:
-                state.final_logits = last
-            else:
-                state.cache = cache
-                state.step_logits = last
+                state.cache = done.cache
+                state.step_logits = done.last_logits
                 state.pos = len(prompt)
                 state.rng = np.random.default_rng(state.request.generation.seed)
 

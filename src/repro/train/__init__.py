@@ -33,8 +33,10 @@ from repro.train.checkpointing import (
     checkpoint_dir_for_step,
     latest_valid_checkpoint,
     list_checkpoints,
+    load_model,
     load_state_arrays,
     load_training_state,
+    save_model,
     save_state_arrays,
     save_training_state,
     set_post_save_hook,
@@ -72,8 +74,10 @@ __all__ = [
     "checkpoint_dir_for_step",
     "latest_valid_checkpoint",
     "list_checkpoints",
+    "load_model",
     "load_state_arrays",
     "load_training_state",
+    "save_model",
     "save_state_arrays",
     "save_training_state",
     "set_post_save_hook",

@@ -12,6 +12,9 @@ resuming from garbage; the fault-injection recovery layer
 (:mod:`repro.faults.recovery`) uses :func:`latest_valid_checkpoint` to fall
 back to the newest snapshot whose digests still verify.
 
+A model on its own (parameters plus config, no optimizer) is saved in the
+same format by :func:`save_model` and rebuilt by :func:`load_model`.
+
 A module-level post-save hook gives the fault injector a seam to corrupt
 freshly written shards *without* the save path knowing anything about
 faults; the happy path is unchanged when no hook is installed.
@@ -27,7 +30,9 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
+from repro.model.config import ModelConfig
 from repro.model.layers import Module
+from repro.model.transformer import TransformerLM
 from repro.train.optimizer import AdamW
 
 PathLike = Union[str, Path]
@@ -225,6 +230,23 @@ def load_state_arrays(
     with np.load(path / "state.npz") as data:
         arrays = {k: data[k] for k in data.files}
     return arrays, dict(meta.get("extra", {}))
+
+
+def save_model(model: TransformerLM, path: PathLike) -> None:
+    """Save ``model``'s parameters and config under ``path`` (a directory)
+    as a :func:`save_state_arrays` snapshot."""
+    save_state_arrays(
+        path, model.named_parameters(), {"model_config": model.config.to_dict()}
+    )
+
+
+def load_model(path: PathLike) -> TransformerLM:
+    """Rebuild a model saved by :func:`save_model`; a corrupt snapshot
+    raises :class:`CheckpointIntegrityError`."""
+    arrays, extra = load_state_arrays(path)
+    model = TransformerLM(ModelConfig.from_dict(extra["model_config"]))
+    model.load_state(arrays)
+    return model
 
 
 # ----------------------------------------------------------------------

@@ -174,6 +174,54 @@ class TestGenerateWithPrefix:
         assert cold == warm
 
 
+class TestPrefillWithPrefix:
+    """``prefill(prompt, prefix)`` forwards only what ``prefix`` does not
+    cover, and at least the final prompt token."""
+
+    @pytest.mark.parametrize("overlap", [0, 1, 9, 16])
+    def test_forwards_only_the_uncovered_tail(self, monkeypatch, overlap):
+        monkeypatch.setenv("REPRO_DEBUG_CACHE", "1")
+        model = small_model(seed=8)
+        prompt = random_ids(np.random.default_rng(9), 16)
+        # token 0 never occurs in ``prompt``, so the overlap is exact
+        prefix = model.prefill(prompt[:overlap] + [0, 0, 0])
+        assert prefix.overlap(prompt) == overlap
+        reference = model.prefill(prompt)
+        before = [(layer["k"].copy(), layer["v"].copy()) for layer in prefix.cache]
+
+        forwarded = []
+        embed = model.embed.forward
+        monkeypatch.setattr(
+            model.embed, "forward", lambda ids: forwarded.append(ids.shape[1]) or embed(ids)
+        )
+        warm = model.prefill(prompt, prefix)
+
+        assert forwarded == [len(prompt) - min(overlap, len(prompt) - 1)]
+        assert warm.token_ids == tuple(prompt)
+        assert cache_length(warm.cache) == len(prompt)
+        assert warm.last_logits.flags.owndata
+        np.testing.assert_allclose(warm.last_logits, reference.last_logits, atol=1e-6)
+        for layer, (k, v) in zip(prefix.cache, before):
+            np.testing.assert_array_equal(layer["k"], k)
+            np.testing.assert_array_equal(layer["v"], v)
+
+    def test_full_overlap_still_forwards_last_token(self, monkeypatch):
+        model = small_model(seed=8)
+        prompt = [5, 6, 7, 8]
+        prefix = model.prefill(prompt)
+        forwarded = []
+        embed = model.embed.forward
+        monkeypatch.setattr(
+            model.embed, "forward", lambda ids: forwarded.append(ids.shape[1]) or embed(ids)
+        )
+        warm = model.prefill(prompt, prefix)
+        assert forwarded == [1]
+        np.testing.assert_allclose(warm.last_logits, prefix.last_logits, atol=1e-6)
+        # the result owns its extension: decoding it leaves the prefix alone
+        model.forward(np.asarray([[9]]), start_pos=len(prompt), cache=warm.cache)
+        assert cache_length(prefix.cache) == len(prompt)
+
+
 class TestDebugCacheGuard:
     """REPRO_DEBUG_CACHE: the runtime counterpart of lint rule R1."""
 

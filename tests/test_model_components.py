@@ -12,12 +12,11 @@ from repro.model import (
     bf16_round,
     generate,
     greedy_decode,
-    load_model,
     merge_lora,
-    save_model,
 )
 from repro.model.config import scaled_config
 from repro.model.precision import bf16_ulp
+from repro.train.checkpointing import CheckpointIntegrityError, load_model, save_model
 
 
 def small_model(seed=0, **kw):
@@ -247,6 +246,15 @@ class TestCheckpoint:
         assert loaded.config == model.config
         x = np.asarray([[1, 2, 3]])
         np.testing.assert_allclose(model.forward(x), loaded.forward(x), atol=1e-6)
+
+    def test_flipped_byte_refused(self, tmp_path):
+        save_model(small_model(seed=9), tmp_path / "ckpt")
+        shard = tmp_path / "ckpt" / "state.npz"
+        data = bytearray(shard.read_bytes())
+        data[len(data) // 2] ^= 0xFF
+        shard.write_bytes(bytes(data))
+        with pytest.raises(CheckpointIntegrityError):
+            load_model(tmp_path / "ckpt")
 
     def test_state_mismatch_detected(self):
         a = small_model()

@@ -235,8 +235,12 @@ class TestPipelineSchedules:
 
 
 class TestPipelinedModel:
-    def test_matches_monolithic_gradients(self):
-        cfg = ModelConfig(vocab_size=32, d_model=16, n_layers=4, n_heads=2, max_seq_len=16)
+    @pytest.mark.parametrize("tied", [False, True], ids=["untied", "tied"])
+    def test_matches_monolithic_gradients(self, tied):
+        cfg = ModelConfig(
+            vocab_size=32, d_model=16, n_layers=4, n_heads=2, max_seq_len=16,
+            tie_embeddings=tied,
+        )
         mono = TransformerLM(cfg, seed=5)
         piped = TransformerLM(cfg, seed=5)
         pipe = PipelinedModel(piped, n_stages=2)
