@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from repro.corpus import make_astro_knowledge
-from repro.eval import BatchedEvaluationRunner, TokenPredictionEvaluator
+from repro.eval import EvaluationRunner, TokenPredictionEvaluator
 from repro.eval.prompts import format_next_token_prompt
 from repro.mcq import build_benchmark
 from repro.model import ModelConfig, TransformerLM
@@ -78,17 +78,19 @@ def _evaluator(model, tok, bench, batch_size=16):
 class TestEvalThroughput:
     def test_cached_batched_is_faster_and_identical(self, eval_world):
         model, tok, bench = eval_world
-        runner = BatchedEvaluationRunner(bench, max_questions=N_QUESTIONS)
+        runner = EvaluationRunner(bench, max_questions=N_QUESTIONS)
 
         naive_eval = _evaluator(model, tok, bench)
         t0 = time.perf_counter()
-        naive = runner.run_sequential(naive_eval.predict, "naive", "micro-lm")
+        naive = runner.run(
+            lambda qs: [naive_eval.predict(q) for q in qs], "naive", "micro-lm"
+        )
         naive_s = time.perf_counter() - t0
 
         # fresh evaluator: the timed run includes the one-time prefill
         fast_eval = _evaluator(model, tok, bench)
         t0 = time.perf_counter()
-        fast = runner.run(fast_eval, "cached-batched", "micro-lm")
+        fast = runner.run(fast_eval.predict_many, "cached-batched", "micro-lm")
         fast_s = time.perf_counter() - t0
 
         n = naive.n_questions

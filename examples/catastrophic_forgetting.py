@@ -30,7 +30,9 @@ def token_base_score(world, model, tokenizer, max_questions=None) -> float:
         prefix_ids=[tokenizer.vocab.eos_id],
     )
     runner = EvaluationRunner(world.benchmark, max_questions=max_questions)
-    return runner.run(evaluator.predict, "token_base", "model").score_percent
+    return runner.run(
+        evaluator.predict_many, "token_base", "model"
+    ).score_percent
 
 
 def main() -> None:

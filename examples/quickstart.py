@@ -64,7 +64,7 @@ def main() -> None:
     print(f"   discovered answer-token convention: "
           f"{evaluator.answer_map.convention}")
     runner = EvaluationRunner(world.benchmark, max_questions=args.questions)
-    result = runner.run(evaluator.predict, "token_base", entry.name)
+    result = runner.run(evaluator.predict_many, "token_base", entry.name)
     print(f"   accuracy: {result.score_percent:.1f}% on "
           f"{result.n_questions} questions (chance = 25%)")
 

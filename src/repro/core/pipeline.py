@@ -34,7 +34,7 @@ from repro.corpus.datasets import (
     with_qa_bridge,
 )
 from repro.eval.full_instruct import FullInstructEvaluator
-from repro.eval.runner import BatchedEvaluationRunner, EvaluationResult
+from repro.eval.runner import EvaluationResult, EvaluationRunner
 from repro.eval.token_pred import TokenPredictionEvaluator
 from repro.model.lora import LoRAConfig, apply_lora, merge_lora
 from repro.model.sampling import GenerationConfig
@@ -233,7 +233,7 @@ class AstroLLaMAPipeline:
         model_name: str,
     ) -> Dict[str, EvaluationResult]:
         cfg = self.config
-        runner = BatchedEvaluationRunner(self.world.benchmark, cfg.max_questions)
+        runner = EvaluationRunner(self.world.benchmark, cfg.max_questions)
         few_shot = self.world.benchmark.few_shot(cfg.few_shot)
         prefix = [tokenizer.vocab.eos_id]
         out: Dict[str, EvaluationResult] = {}
@@ -245,7 +245,9 @@ class AstroLLaMAPipeline:
             prefix_ids=prefix,
             batch_size=cfg.eval_batch_size,
         )
-        out["token_base"] = runner.run(base_eval, "token_base", model_name)
+        out["token_base"] = runner.run(
+            base_eval.predict_many, "token_base", model_name
+        )
 
         instr_eval = TokenPredictionEvaluator(
             instruct_model,
@@ -255,7 +257,7 @@ class AstroLLaMAPipeline:
             batch_size=cfg.eval_batch_size,
         )
         out["token_instruct"] = runner.run(
-            instr_eval, "token_instruct", model_name
+            instr_eval.predict_many, "token_instruct", model_name
         )
 
         full_eval = FullInstructEvaluator(
@@ -269,7 +271,7 @@ class AstroLLaMAPipeline:
             prefix_ids=prefix,
         )
         out["full_instruct"] = runner.run(
-            full_eval, "full_instruct", model_name
+            full_eval.predict_many, "full_instruct", model_name
         )
         return out
 

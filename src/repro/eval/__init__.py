@@ -2,12 +2,14 @@
 
 * :class:`~repro.eval.full_instruct.FullInstructEvaluator` — chat-style
   question answering with chain-of-thought, regex answer extraction and an
-  interpreter fallback (the GPT-4o analogue);
+  interpreter fallback (the GPT-4o analogue), generated on the
+  continuous-batching serving engine;
 * :class:`~repro.eval.token_pred.TokenPredictionEvaluator` — the two-shot
   next-token method with dynamic answer-token discovery, applicable to base
   models (method 2) and instruct models (method 3);
-* :class:`~repro.eval.runner.EvaluationRunner` — batch evaluation over a
-  benchmark with per-topic accuracy breakdowns.
+* :class:`~repro.eval.runner.EvaluationRunner` — the one runner: applies
+  an evaluator's ``predict_many`` to a benchmark and reports accuracy with
+  per-topic breakdowns.
 """
 
 from repro.eval.prompts import (
@@ -29,13 +31,7 @@ from repro.eval.token_pred import (
     discover_answer_tokens,
 )
 from repro.eval.full_instruct import FullInstructEvaluator
-from repro.eval.runner import (
-    BatchedEvaluationRunner,
-    EvaluationResult,
-    EvaluationRunner,
-    assemble_result,
-)
-from repro.eval.serving import ServingEvaluationRunner
+from repro.eval.runner import EvaluationResult, EvaluationRunner
 from repro.eval.probes import circuit_quality, knowledge_recall
 
 __all__ = [
@@ -53,10 +49,7 @@ __all__ = [
     "TokenPredictionEvaluator",
     "FullInstructEvaluator",
     "EvaluationRunner",
-    "BatchedEvaluationRunner",
     "EvaluationResult",
-    "assemble_result",
-    "ServingEvaluationRunner",
     "knowledge_recall",
     "circuit_quality",
 ]

@@ -3,22 +3,25 @@
 Prompts the instruct model conversationally, generates a response (up to
 512 tokens in the paper), and runs the two-stage answer parser.  Prompt
 style is pluggable: the paper's Appendix B JSON prompt for JSON-capable
-models, or the micro chat format for the micro zoo.
+models, or the micro chat format for the micro zoo.  Generation runs on
+the continuous-batching :class:`~repro.serve.engine.ServeEngine`, whose
+prefix store forwards the chat scaffold shared by every prompt once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Protocol, Sequence
 
-import numpy as np
-
 from repro.eval.parsing import FallbackInterpreter, ParseOutcome, parse_model_answer
-from repro.eval.prompts import format_micro_chat_prompt, format_paper_full_instruct
+from repro.eval.prompts import format_micro_chat_prompt
 from repro.mcq.generation import MCQuestion
-from repro.model.kv_cache import PrefixCacheStore
-from repro.model.sampling import GenerationConfig, generate
+from repro.model.sampling import GenerationConfig
 from repro.model.transformer import TransformerLM
+from repro.serve.admission import QueueFullError
+from repro.serve.engine import ServeConfig, ServeEngine
+from repro.serve.request import InferenceRequest, RequestKind
+from repro.serve.scheduler import SchedulerConfig
 
 PromptBuilder = Callable[[MCQuestion], str]
 
@@ -59,48 +62,56 @@ class FullInstructEvaluator:
         )
         self.interpreter = interpreter or FallbackInterpreter()
         self.prefix_ids = list(prefix_ids)
-        # room for two whole-context prompts: the scaffold and one more
-        self._prefix_store = PrefixCacheStore(
-            capacity_tokens=2 * model.config.max_seq_len
-        )
         self.records: List[FullInstructRecord] = []
+        self.last_engine: Optional[ServeEngine] = None
 
-    def _scaffold_prefix(self, prompt_ids: List[int]):
-        """The prefilled chat scaffold shared by every question's prompt.
+    def predict_many(self, questions: Sequence[MCQuestion]) -> List[Optional[int]]:
+        """Serve every question as a GENERATE request, then parse each
+        response in question order and record its transcript.
 
-        The first prompt is prefilled in full and stored; later prompts
-        fork the stored cache at their (token-level) common prefix — the
-        scaffold — so it is never re-prefilled.
+        A refused submit (full admission queue) steps the engine and
+        retries.  Requests carry no deadline and the engine has no fault
+        hook, so every one runs to completion.
         """
-        if len(prompt_ids) > self.model.config.max_seq_len:
-            return None  # generate() will left-truncate; nothing reusable
-        hit = self._prefix_store.match(prompt_ids)
-        if hit is not None:
-            return hit[0]
-        return self._prefix_store.put(self.model.prefill(prompt_ids))
+        # every single request (prompt + decode budget <= max_seq_len)
+        # must fit, with room for a real batch of them
+        budget = max(2048, 4 * self.model.config.max_seq_len)
+        engine = ServeEngine(
+            self.model,
+            config=ServeConfig(scheduler=SchedulerConfig(token_budget=budget)),
+        )
+        self.last_engine = engine
+        for i, question in enumerate(questions):
+            prompt = self.prompt_builder(question)
+            request = InferenceRequest(
+                request_id=f"q-{i:05d}",
+                prompt_ids=tuple(self.prefix_ids + self.tokenizer.encode(prompt)),
+                kind=RequestKind.GENERATE,
+                generation=self.generation,
+            )
+            while True:
+                try:
+                    engine.submit(request)
+                    break
+                except QueueFullError:
+                    engine.step()
+        predictions: List[Optional[int]] = []
+        for question, state in zip(questions, engine.drain()):
+            response = self.tokenizer.decode(state.output_ids)
+            outcome = parse_model_answer(response, question.options, self.interpreter)
+            self.records.append(
+                FullInstructRecord(question.question_id, response, outcome)
+            )
+            predictions.append(outcome.answer_idx)
+        return predictions
 
     def answer(self, question: MCQuestion) -> ParseOutcome:
         """Prompt, generate, parse; records the transcript."""
-        prompt = self.prompt_builder(question)
-        prompt_ids = self.prefix_ids + self.tokenizer.encode(prompt)
-        out_ids = generate(
-            self.model,
-            prompt_ids,
-            self.generation,
-            prefix=self._scaffold_prefix(prompt_ids),
-        )
-        response = self.tokenizer.decode(out_ids)
-        outcome = parse_model_answer(response, question.options, self.interpreter)
-        self.records.append(
-            FullInstructRecord(question.question_id, response, outcome)
-        )
-        return outcome
+        self.predict_many([question])
+        return self.records[-1].outcome
 
     def predict(self, question: MCQuestion) -> Optional[int]:
-        return self.answer(question).answer_idx
-
-    def predict_many(self, questions: Sequence[MCQuestion]) -> List[Optional[int]]:
-        return [self.predict(q) for q in questions]
+        return self.predict_many([question])[0]
 
     @property
     def parse_failure_rate(self) -> float:

@@ -8,7 +8,6 @@ from typing import Callable, Dict, List, Optional, Sequence
 from repro.mcq.dataset import MCQBenchmark
 from repro.mcq.generation import MCQuestion
 
-Predictor = Callable[[MCQuestion], Optional[int]]
 #: Maps a whole question list to a prediction list (order-aligned).
 BatchPredictor = Callable[[Sequence[MCQuestion]], Sequence[Optional[int]]]
 
@@ -34,7 +33,12 @@ class EvaluationResult:
 
 
 class EvaluationRunner:
-    """Applies a per-question predictor across a benchmark's test split."""
+    """Applies a batch predictor across a benchmark's test split.
+
+    The predictor is normally an evaluator's bound ``predict_many``: the
+    next-token evaluator scores shared-prefix batches, the full-instruct
+    evaluator serves the questions through the continuous-batching engine.
+    """
 
     def __init__(
         self, benchmark: MCQBenchmark, max_questions: Optional[int] = None
@@ -42,76 +46,25 @@ class EvaluationRunner:
         self.benchmark = benchmark
         self.max_questions = max_questions
 
-    def _questions(self) -> List[MCQuestion]:
-        qs = self.benchmark.test
-        if self.max_questions is not None:
-            qs = qs[: self.max_questions]
-        return qs
-
     def run(
-        self, predictor: Predictor, method: str, model_name: str
+        self, predict_many: BatchPredictor, method: str, model_name: str
     ) -> EvaluationResult:
-        questions = self._questions()
-        predictions: List[Optional[int]] = [predictor(q) for q in questions]
-        return assemble_result(questions, predictions, method, model_name)
-
-
-class BatchedEvaluationRunner(EvaluationRunner):
-    """Evaluation runner that prefers whole-benchmark batch prediction.
-
-    ``run`` accepts either a :data:`BatchPredictor` (e.g. a bound
-    ``predict_many``) or an evaluator object exposing one; a plain
-    per-question :data:`Predictor` still works via :meth:`run_sequential`,
-    so every existing call site is a valid fallback.
-    """
-
-    def run(
-        self, predictor, method: str, model_name: str
-    ) -> EvaluationResult:
-        questions = self._questions()
-        batched: Optional[BatchPredictor] = getattr(
-            predictor, "predict_many", None
+        questions = self.benchmark.test[: self.max_questions]
+        predictions = list(predict_many(questions))
+        if len(predictions) != len(questions):
+            raise ValueError(
+                f"batch predictor returned {len(predictions)} predictions "
+                f"for {len(questions)} questions"
+            )
+        per_topic: Dict[str, List[bool]] = {}
+        for q, p in zip(questions, predictions):
+            per_topic.setdefault(q.topic, []).append(p == q.correct_idx)
+        return EvaluationResult(
+            method=method,
+            model_name=model_name,
+            n_questions=len(questions),
+            accuracy=MCQBenchmark.accuracy(questions, predictions),
+            per_topic={t: sum(v) / len(v) for t, v in sorted(per_topic.items())},
+            predictions=predictions,
+            parse_failures=predictions.count(None),
         )
-        if batched is None and getattr(predictor, "__name__", "") == "predict_many":
-            batched = predictor  # a bound predict_many passed directly
-        if batched is not None:
-            predictions = list(batched(questions))
-            if len(predictions) != len(questions):
-                raise ValueError(
-                    f"batch predictor returned {len(predictions)} predictions "
-                    f"for {len(questions)} questions"
-                )
-        else:
-            predictions = [predictor(q) for q in questions]
-        return assemble_result(questions, predictions, method, model_name)
-
-    def run_sequential(
-        self, predictor: Predictor, method: str, model_name: str
-    ) -> EvaluationResult:
-        """Force the one-question-at-a-time path (timing baselines)."""
-        return EvaluationRunner.run(self, predictor, method, model_name)
-
-
-def assemble_result(
-    questions: Sequence[MCQuestion],
-    predictions: Sequence[Optional[int]],
-    method: str,
-    model_name: str,
-) -> EvaluationResult:
-    """Fold order-aligned predictions into an :class:`EvaluationResult`."""
-    accuracy = MCQBenchmark.accuracy(questions, predictions)
-    per_topic: Dict[str, List[bool]] = {}
-    failures = 0
-    for q, p in zip(questions, predictions):
-        per_topic.setdefault(q.topic, []).append(p == q.correct_idx)
-        if p is None:
-            failures += 1
-    return EvaluationResult(
-        method=method,
-        model_name=model_name,
-        n_questions=len(questions),
-        accuracy=accuracy,
-        per_topic={t: sum(v) / len(v) for t, v in sorted(per_topic.items())},
-        predictions=list(predictions),
-        parse_failures=failures,
-    )

@@ -6,8 +6,8 @@ The subsystem has four layers, lowest to highest:
 * :mod:`repro.faults.plan` — declarative, seeded fault schedules
   (:class:`FaultPlan` / :class:`FaultEvent`);
 * :mod:`repro.faults.injector` — the sole component that fires faults,
-  via hooks in collectives, the trainer and checkpointing (lint rule R6
-  keeps ad-hoc raises out of ``parallel/`` and ``train/``);
+  via hooks in collectives, the recovery step loop and checkpointing
+  (lint rule R6 keeps ad-hoc raises out of ``parallel/`` and ``train/``);
 * :mod:`repro.faults.recovery` + :mod:`repro.faults.harness` — the
   recovery policy (:class:`RecoveryManager`) and the DP/TP/pipeline loop
   adapters it drives.

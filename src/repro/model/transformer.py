@@ -265,9 +265,8 @@ class TransformerLM(Module):
         forward.  The returned :class:`PrefixCache` carries the per-layer
         K/V tensors (its own, safe to extend by decoding) plus the owned
         next-token logits at the prompt boundary, and can be forked
-        (trimmed and/or broadcast over a batch) for any continuation that
-        shares the prompt.  Only the final position is projected to the
-        vocabulary.
+        (optionally trimmed) for any continuation that shares the prompt.
+        Only the final position is projected to the vocabulary.
         """
         ids = tuple(int(t) for t in token_ids)
         if not ids:

@@ -40,7 +40,6 @@ class TrainingConfig:
     weight_decay: float = 0.0
     betas: Tuple[float, float] = (0.9, 0.95)
     bf16: bool = False
-    log_every: int = 10
 
     def __post_init__(self) -> None:
         if self.total_steps <= 0:
@@ -74,24 +73,6 @@ class TrainingHistory:
         return float(np.mean(tail))
 
 
-class TrainerHooks:
-    """Optional observation/injection points around the step loop.
-
-    The fault injector (:mod:`repro.faults`) subclasses this to preempt a
-    run at a step boundary or perturb accumulated gradients; the default
-    implementations do nothing, so a hook-less trainer behaves exactly as
-    before.  ``on_step_start`` fires before any microbatch of the step;
-    ``on_gradients`` fires after accumulation, before clipping and the
-    optimizer update.
-    """
-
-    def on_step_start(self, step: int) -> None:  # pragma: no cover - trivial
-        return None
-
-    def on_gradients(self, step: int, grads: dict) -> None:  # pragma: no cover
-        return None
-
-
 class Trainer:
     """Runs a model over a batch stream for ``total_steps`` optimizer steps.
 
@@ -104,12 +85,9 @@ class Trainer:
         self,
         model: Module,
         config: TrainingConfig,
-        step_callback: Optional[Callable[[int, float, float], None]] = None,
-        hooks: Optional[TrainerHooks] = None,
     ) -> None:
         self.model = model
         self.config = config
-        self.hooks = hooks
         self.schedule = make_schedule(
             config.schedule,
             config.learning_rate,
@@ -123,7 +101,6 @@ class Trainer:
             betas=config.betas,
             weight_decay=config.weight_decay,
         )
-        self.step_callback = step_callback
 
     def train(
         self,
@@ -139,8 +116,6 @@ class Trainer:
         cfg = self.config
         iterator = iter(make_batches())
         for step in range(cfg.total_steps):
-            if self.hooks is not None:
-                self.hooks.on_step_start(step)
             self.model.zero_grad()
             accum_loss = 0.0
             tokens = 0
@@ -159,10 +134,7 @@ class Trainer:
                     tokens += int(np.asarray(targets).size)
                 else:
                     tokens += int(np.asarray(mask).sum())
-            grads = self.model.named_gradients()
-            if self.hooks is not None:
-                self.hooks.on_gradients(step, grads)
-            norm = clip_grad_norm(grads, cfg.clip_norm)
+            norm = clip_grad_norm(self.model.named_gradients(), cfg.clip_norm)
             lr = self.schedule.lr(step)
             self.optimizer.step(lr)
             if cfg.bf16:
@@ -173,6 +145,4 @@ class Trainer:
             history.grad_norms.append(norm)
             history.tokens_seen += tokens
             history.steps += 1
-            if self.step_callback and (step % max(cfg.log_every, 1) == 0):
-                self.step_callback(step, accum_loss, lr)
         return history

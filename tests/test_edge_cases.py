@@ -83,19 +83,21 @@ class TestRunnerEdges:
 
     def test_all_none_predictions_score_zero(self, bench):
         runner = EvaluationRunner(bench, max_questions=10)
-        result = runner.run(lambda q: None, "m", "null-model")
+        result = runner.run(lambda qs: [None] * len(qs), "m", "null-model")
         assert result.accuracy == 0.0
         assert result.parse_failures == 10
 
     def test_perfect_predictor(self, bench):
         runner = EvaluationRunner(bench)
-        result = runner.run(lambda q: q.correct_idx, "m", "oracle")
+        result = runner.run(
+            lambda qs: [q.correct_idx for q in qs], "m", "oracle"
+        )
         assert result.accuracy == 1.0
         assert result.parse_failures == 0
 
     def test_constant_predictor_near_letter_frequency(self, bench):
         runner = EvaluationRunner(bench)
-        result = runner.run(lambda q: 0, "m", "always-A")
+        result = runner.run(lambda qs: [0] * len(qs), "m", "always-A")
         # should be near 25% by letter balance
         assert 0.0 <= result.accuracy <= 0.6
 

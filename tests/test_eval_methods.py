@@ -11,7 +11,6 @@ import pytest
 
 from repro.corpus import make_astro_knowledge
 from repro.eval import (
-    BatchedEvaluationRunner,
     EvaluationRunner,
     FullInstructEvaluator,
     TokenPredictionEvaluator,
@@ -220,7 +219,7 @@ class TestTokenPrediction:
         model = OracleModel(tok, astro, "bare", accuracy=1.0)
         evaluator = TokenPredictionEvaluator(model, tok, bench.few_shot(2))
         runner = EvaluationRunner(bench)
-        result = runner.run(evaluator.predict, "token_base", "oracle")
+        result = runner.run(evaluator.predict_many, "token_base", "oracle")
         assert result.accuracy == 1.0
 
     def test_partial_oracle_scores_between(self, astro, bench):
@@ -228,7 +227,7 @@ class TestTokenPrediction:
         model = OracleModel(tok, astro, "bare", accuracy=0.5, seed=3)
         evaluator = TokenPredictionEvaluator(model, tok, bench.few_shot(2))
         runner = EvaluationRunner(bench)
-        result = runner.run(evaluator.predict, "token_base", "half-oracle")
+        result = runner.run(evaluator.predict_many, "token_base", "half-oracle")
         # 0.5 oracle + chance on the rest ~= 0.625
         assert 0.4 < result.accuracy < 0.85
 
@@ -236,7 +235,7 @@ class TestTokenPrediction:
         tok = make_tokenizer(astro, False)
         model = OracleModel(tok, astro, "bare")
         evaluator = TokenPredictionEvaluator(model, tok, bench.few_shot(2))
-        result = EvaluationRunner(bench).run(evaluator.predict, "m", "oracle")
+        result = EvaluationRunner(bench).run(evaluator.predict_many, "m", "oracle")
         assert result.per_topic
         for acc in result.per_topic.values():
             assert acc == 1.0
@@ -246,7 +245,7 @@ class TestTokenPrediction:
         model = OracleModel(tok, astro, "bare")
         evaluator = TokenPredictionEvaluator(model, tok, bench.few_shot(2))
         result = EvaluationRunner(bench, max_questions=7).run(
-            evaluator.predict, "m", "oracle"
+            evaluator.predict_many, "m", "oracle"
         )
         assert result.n_questions == 7
 
@@ -344,8 +343,10 @@ class TestBatchedPrediction:
         evaluator = TokenPredictionEvaluator(
             model, tok, bench.few_shot(2), batch_size=16
         )
-        slow = EvaluationRunner(bench).run(evaluator.predict, "m", "lm")
-        fast = BatchedEvaluationRunner(bench).run(evaluator, "m", "lm")
+        slow = EvaluationRunner(bench).run(
+            lambda qs: [evaluator.predict(q) for q in qs], "m", "lm"
+        )
+        fast = EvaluationRunner(bench).run(evaluator.predict_many, "m", "lm")
         assert fast.predictions == slow.predictions
         assert fast.accuracy == slow.accuracy
         assert fast.per_topic == slow.per_topic
@@ -356,23 +357,14 @@ class TestBatchedPrediction:
         tok = make_tokenizer(astro, False)
         model = OracleModel(tok, astro, "bare", accuracy=1.0)
         evaluator = TokenPredictionEvaluator(model, tok, bench.few_shot(2))
-        result = BatchedEvaluationRunner(bench).run(evaluator, "m", "oracle")
+        result = EvaluationRunner(bench).run(evaluator.predict_many, "m", "oracle")
         assert result.accuracy == 1.0
-
-    def test_batched_runner_accepts_plain_predictor(self, astro, bench):
-        tok = make_tokenizer(astro, False)
-        model = OracleModel(tok, astro, "bare")
-        evaluator = TokenPredictionEvaluator(model, tok, bench.few_shot(2))
-        result = BatchedEvaluationRunner(bench, max_questions=5).run(
-            evaluator.predict, "m", "oracle"
-        )
-        assert result.n_questions == 5
 
     def test_batched_runner_rejects_misaligned_batch(self, bench):
         def predict_many(questions):
             return [0]  # wrong length: one prediction for N questions
 
-        runner = BatchedEvaluationRunner(bench)
+        runner = EvaluationRunner(bench)
         with pytest.raises(ValueError):
             runner.run(predict_many, "m", "broken")
 
@@ -395,9 +387,10 @@ class TestFullInstructPrefixReuse:
             prompt_ids = tok.encode(evaluator.prompt_builder(question))
             cold = generate(model, prompt_ids, evaluator.generation)
             assert record.response == tok.decode(cold)
-        # the scaffold cache was built exactly once and then re-hit
-        assert len(evaluator._prefix_store) == 1
-        assert evaluator._prefix_store.hits == len(questions) - 1
+        # the engine's store forwarded the scaffold once, then re-hit it
+        store = evaluator.last_engine.scheduler.prefix_store
+        assert store.misses == 1
+        assert store.hits == len(questions) - 1
 
 
 class BoundaryMergingTokenizer:

@@ -244,7 +244,7 @@ class TestRadixTree:
 
 
 class TestInterleavedForkTrim:
-    """Forks at varying trims/batch sizes never disturb stored parents."""
+    """Forks at varying trims never disturb stored parents."""
 
     def test_fork_trim_sequence_leaves_parents_intact(self):
         model = small_model()
@@ -256,13 +256,13 @@ class TestInterleavedForkTrim:
         saved_a = snapshot(stored(store, ids_a).cache)
         saved_b = snapshot(stored(store, ids_b).cache)
 
-        # interleave matches, trimmed forks and broadcast forks
+        # interleave matches and trimmed forks
         forks = []
         for length in (2, 4, 6):
             prefix, overlap = store.match(ids_a[:length] + [50])
             assert overlap == length
-            forks.append(prefix.fork(batch_size=3, length=length))
-        forks.append(store.match(ids_b)[0].fork(batch_size=1, length=3))
+            forks.append(prefix.fork(length=length))
+        forks.append(store.match(ids_b)[0].fork(length=3))
         # evicts a's tail, the least recently matched leaf, mid-sequence
         store.put(model.prefill([30, 31]))
         assert store.evictions == 1 and store.match(ids_a)[1] == 2
@@ -284,7 +284,7 @@ class TestInterleavedForkTrim:
         model = small_model(seed=2)
         ids = [3, 1, 4, 1, 5, 9, 2, 6]
         full = model.prefill(ids)
-        trimmed = full.fork(batch_size=1, length=5)
+        trimmed = full.fork(length=5)
         for layer, parent in zip(trimmed, full.cache):
             for key in ("k", "v"):
                 np.testing.assert_array_equal(
@@ -296,8 +296,8 @@ class TestInterleavedForkTrim:
         model = small_model(seed=1)
         pc = model.prefill([7, 8, 9, 10])
         saved = snapshot(pc.cache)
-        left = pc.fork(batch_size=1, length=4)
-        right = pc.fork(batch_size=1, length=2)
+        left = pc.fork(length=4)
+        right = pc.fork(length=2)
         saved_right = snapshot(right)
         model.forward(np.asarray([[11, 12]]), start_pos=4, cache=left)
         assert cache_length(left) == 6
@@ -316,7 +316,7 @@ class TestInterleavedForkTrim:
         store = PrefixCacheStore(capacity_tokens=8)
         store.put(model.prefill([1, 2, 3, 4]))
         saved = snapshot(stored(store, [1, 2, 3, 4]).cache)
-        fork = store.match([1, 2, 3, 9])[0].fork(batch_size=2, length=3)
+        fork = store.match([1, 2, 3, 9])[0].fork(length=3)
         assert not fork[0]["k"].flags.writeable
         # the stored prompt is unchanged and still matchable
         assert_cache_equal(stored(store, [1, 2, 3, 4]).cache, saved)
@@ -366,12 +366,12 @@ class TestDebugGuardMutatorMatrix:
 
     @pytest.mark.parametrize("mutate", MUTATORS)
     def test_mutator_raises_on_forked_cache(self, monkeypatch, mutate):
-        # batch_size=1 so the fork is a plain slice view: writable without
-        # the guard, which isolates the guard as the thing that trips
+        # the fork is a plain slice view: writable without the guard,
+        # which isolates the guard as the thing that trips
         monkeypatch.setenv("REPRO_DEBUG_CACHE", "1")
         model = small_model()
         pc = model.prefill([1, 2, 3, 4])
-        forked = fork_cache(pc.cache, batch_size=1, length=3)
+        forked = fork_cache(pc.cache, length=3)
         saved = snapshot(pc.cache)
         with pytest.raises(ValueError):
             mutate(_layer(forked))
@@ -385,17 +385,8 @@ class TestDebugGuardMutatorMatrix:
         monkeypatch.delenv("REPRO_DEBUG_CACHE", raising=False)
         model = small_model()
         pc = model.prefill([1, 2, 3, 4])
-        forked = fork_cache(pc.cache, batch_size=1, length=3)
+        forked = fork_cache(pc.cache, length=3)
         mutate(_layer(forked))  # no raise
-
-    @pytest.mark.parametrize("mutate", MUTATORS)
-    def test_mutator_raises_on_broadcast_fork(self, monkeypatch, mutate):
-        monkeypatch.setenv("REPRO_DEBUG_CACHE", "1")
-        model = small_model()
-        pc = model.prefill([1, 2, 3, 4])
-        forked = fork_cache(pc.cache, batch_size=2)
-        with pytest.raises(ValueError):
-            mutate(_layer(forked))
 
     def test_guard_accepts_any_truthy_value(self, monkeypatch):
         for on in ("1", "yes", "true", "on", "2"):
@@ -408,7 +399,7 @@ class TestDebugGuardMutatorMatrix:
         monkeypatch.setenv("REPRO_DEBUG_CACHE", "1")
         model = small_model()
         pc = model.prefill([5, 6, 7, 8])
-        forked = fork_cache(pc.cache, batch_size=3, length=2)
+        forked = fork_cache(pc.cache, length=2)
         for layer in forked:
             for key in ("k", "v"):
                 assert not layer[key].flags.writeable
@@ -426,7 +417,7 @@ class TestStoreUnderGuard:
         store.put(model.prefill([1, 2, 3, 4]))
         store.put(model.prefill([1, 2, 5]))
         saved = snapshot(stored(store, [1, 2, 3, 4]).cache)
-        forked = store.match([1, 2, 3, 9])[0].fork(batch_size=1)
+        forked = store.match([1, 2, 3, 9])[0].fork()
         with pytest.raises(ValueError):
             mutate(_layer(forked))
         assert_cache_equal(stored(store, [1, 2, 3, 4]).cache, saved)
@@ -444,10 +435,9 @@ class TestStoreUnderGuard:
             ids = list(prompts[int(rng.integers(len(prompts)))])
             prefix, overlap = store.match(ids + [60])
             length = int(rng.integers(1, overlap + 1))
-            fork = prefix.fork(batch_size=int(rng.integers(1, 4)), length=length)
-            if fork[0]["k"].shape[0] == 1:
-                model.forward(np.asarray([[61, 62]]), start_pos=length, cache=fork)
-                assert cache_length(fork) == length + 2
+            fork = prefix.fork(length=length)
+            model.forward(np.asarray([[61, 62]]), start_pos=length, cache=fork)
+            assert cache_length(fork) == length + 2
         for ids in prompts:
             assert_cache_equal(stored(store, ids).cache, saved[tuple(ids)])
 

@@ -1,26 +1,26 @@
-"""ServingEvaluationRunner ≡ BatchedEvaluationRunner.
+"""The benchmark served through the continuous-batching engine.
 
 The serving engine is a throughput device, never an accuracy device:
-replaying a benchmark through continuous batching, prefix reuse, and
-admission backpressure must produce exactly the per-question answers
-the batched evaluation engine produces — for both the next-token
-(SCORE) and full-instruct (GENERATE) methodologies.
+scoring questions as ``SCORE`` requests must give exactly the answers of
+the batched next-token evaluator, and the full-instruct evaluator, which
+generates on the engine, must produce exactly the transcripts of plain
+sequential ``generate()`` — under prefix reuse and admission
+backpressure alike.
 """
 
+import numpy as np
 import pytest
 
 from repro.corpus import make_astro_knowledge
 from repro.eval import (
-    BatchedEvaluationRunner,
     FullInstructEvaluator,
-    ServingEvaluationRunner,
     TokenPredictionEvaluator,
     format_micro_chat_prompt,
 )
 from repro.eval.prompts import format_next_token_prompt
 from repro.mcq import build_benchmark
-from repro.model import ModelConfig, TransformerLM
-from repro.serve import SchedulerConfig, ServeConfig
+from repro.model import ModelConfig, TransformerLM, generate
+from repro.serve import InferenceRequest, RequestKind, ServeEngine
 from repro.tokenizer import WordTokenizer
 
 N_QUESTIONS = 24
@@ -55,85 +55,70 @@ def eval_world():
     return model, tok, bench
 
 
-class TestTokenPredEquivalence:
-    def test_serving_answers_match_batched(self, eval_world):
-        model, tok, bench = eval_world
-        batched_eval = TokenPredictionEvaluator(
-            model, tok, bench.few_shot(FEW_SHOT)
+@pytest.fixture(scope="module")
+def scored(eval_world):
+    """``(evaluator, engine, argmax predictions)`` of the first
+    ``N_QUESTIONS`` questions served as SCORE requests."""
+    model, tok, bench = eval_world
+    evaluator = TokenPredictionEvaluator(model, tok, bench.few_shot(FEW_SHOT))
+    questions = bench.test[:N_QUESTIONS]
+    engine = ServeEngine(model)
+    for i, question in enumerate(questions):
+        engine.submit(
+            InferenceRequest(
+                f"q-{i}",
+                tuple(evaluator._prompt_ids(question)),
+                kind=RequestKind.SCORE,
+            )
         )
-        batched = BatchedEvaluationRunner(bench, max_questions=N_QUESTIONS).run(
-            batched_eval, "next-token", "micro"
-        )
-        serving_eval = TokenPredictionEvaluator(
-            model, tok, bench.few_shot(FEW_SHOT),
-            answer_map=batched_eval.answer_map,
-        )
-        runner = ServingEvaluationRunner(bench, max_questions=N_QUESTIONS)
-        serving = runner.run(serving_eval, "next-token", "micro")
-        assert serving.predictions == batched.predictions
-        assert serving.accuracy == pytest.approx(batched.accuracy)
-        assert serving.per_topic == batched.per_topic
+    letter_ids = evaluator.answer_map.letter_ids()
+    predictions = [
+        int(np.argmax(state.final_logits[letter_ids])) for state in engine.drain()
+    ]
+    return evaluator, engine, predictions
 
-    def test_serving_reuses_shared_scaffold(self, eval_world):
-        model, tok, bench = eval_world
-        evaluator = TokenPredictionEvaluator(
-            model, tok, bench.few_shot(FEW_SHOT)
-        )
-        runner = ServingEvaluationRunner(bench, max_questions=N_QUESTIONS)
-        runner.run(evaluator, "next-token", "micro")
-        snap = runner.last_engine.metrics_snapshot()
-        # one cold prefill, then every question forks the cached scaffold
+
+class TestTokenPredEquivalence:
+    def test_serving_answers_match_batched(self, eval_world, scored):
+        _, _, bench = eval_world
+        evaluator, _, predictions = scored
+        assert predictions == evaluator.predict_many(bench.test[:N_QUESTIONS])
+
+    def test_serving_reuses_shared_scaffold(self, scored):
+        _, engine, _ = scored
+        snap = engine.metrics_snapshot()
+        # one cold prefill, then every question forks the stored scaffold
         assert snap["prefix_cache"]["misses"] == 1
         assert snap["prefix_cache"]["hits"] == N_QUESTIONS - 1
         assert snap["prefix_hit_tokens"] > 0
-
-    def test_backpressure_does_not_change_answers(self, eval_world):
-        """A tiny admission queue forces submit/step interleaving."""
-        model, tok, bench = eval_world
-        evaluator = TokenPredictionEvaluator(
-            model, tok, bench.few_shot(FEW_SHOT)
-        )
-        reference = BatchedEvaluationRunner(
-            bench, max_questions=N_QUESTIONS
-        ).run(evaluator, "next-token", "micro")
-        tight = ServeConfig(
-            queue_capacity=2,
-            scheduler=SchedulerConfig(token_budget=8192, max_running=2),
-        )
-        runner = ServingEvaluationRunner(
-            bench, max_questions=N_QUESTIONS, config=tight
-        )
-        serving = runner.run(evaluator, "next-token", "micro")
-        assert serving.predictions == reference.predictions
 
 
 class TestFullInstructEquivalence:
     def test_serving_answers_and_records_match(self, eval_world):
         model, tok, bench = eval_world
-        reference_eval = FullInstructEvaluator(
+        questions = bench.test[:12]
+        evaluator = FullInstructEvaluator(
             model, tok, prompt_builder=format_micro_chat_prompt
         )
-        reference = BatchedEvaluationRunner(bench, max_questions=12).run(
-            reference_eval, "full-instruct", "micro"
-        )
-        serving_eval = FullInstructEvaluator(
-            model, tok, prompt_builder=format_micro_chat_prompt
-        )
-        serving = ServingEvaluationRunner(bench, max_questions=12).run(
-            serving_eval, "full-instruct", "micro"
-        )
-        assert serving.predictions == reference.predictions
-        assert [r.response for r in serving_eval.records] == [
-            r.response for r in reference_eval.records
-        ]
-        assert serving_eval.parse_failure_rate == pytest.approx(
-            reference_eval.parse_failure_rate
-        )
+        predictions = evaluator.predict_many(questions)
+        assert predictions == [r.outcome.answer_idx for r in evaluator.records]
+        for question, record in zip(questions, evaluator.records):
+            prompt_ids = tok.encode(format_micro_chat_prompt(question))
+            reference = generate(model, prompt_ids, evaluator.generation)
+            assert record.question_id == question.question_id
+            assert record.response == tok.decode(reference)
 
+    def test_backpressure_does_not_change_answers(self, eval_world):
+        """More questions than the 64-slot admission queue forces
+        submit/step interleaving."""
+        model, tok, bench = eval_world
+        questions = (bench.test * 2)[:70]
+        evaluator = FullInstructEvaluator(model, tok, eos_id=tok.vocab.eos_id)
+        predictions = evaluator.predict_many(questions)
+        assert len(predictions) == 70
+        assert evaluator.last_engine.metrics_snapshot()["rejected"] > 0
+        responses = [r.response for r in evaluator.records[:6]]
 
-class TestRunnerDispatch:
-    def test_unknown_evaluator_type_rejected(self, eval_world):
-        _, _, bench = eval_world
-        runner = ServingEvaluationRunner(bench, max_questions=2)
-        with pytest.raises(TypeError, match="evaluator"):
-            runner.run(object(), "m", "micro")
+        one_by_one = FullInstructEvaluator(model, tok, eos_id=tok.vocab.eos_id)
+        assert [one_by_one.predict(q) for q in questions[:6]] == predictions[:6]
+        assert [r.response for r in one_by_one.records] == responses
